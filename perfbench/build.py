@@ -1,6 +1,6 @@
 """Make a run's inputs: the graph cache and the native kernel.
 
-``python3 perfbench/build.py <workload> <seed>`` — started by run.py in
+``python3 perfbench/build.py`` — started by run.py in
 its own process before set-up.
 """
 
@@ -14,4 +14,4 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 import workloads  # noqa: E402
 
 if __name__ == "__main__":
-    workloads.build_inputs(ROOT, sys.argv[1], int(sys.argv[2]))
+    workloads.build_inputs(ROOT)

@@ -28,9 +28,9 @@ from repro.generators.streams import generate_stream  # noqa: E402
 from repro.graphs import io as gio  # noqa: E402
 
 PASSES = {
-    "static-warm": lambda runner: runner.warm_pass("tiny"),
-    "cold-ingress": lambda runner: runner.cold_pass("tiny"),
-    "serve-churn": lambda runner: runner.serve_replay("tiny"),
+    "warm": lambda runner: runner.warm_pass("tiny"),
+    "cold": lambda runner: runner.cold_pass("tiny"),
+    "serve": lambda runner: runner.serve_replay("tiny"),
 }
 
 
@@ -39,7 +39,7 @@ def tiny(tmp_path_factory):
     """A cache of the three graphs at the tiny tier plus a short stream."""
     root = str(tmp_path_factory.mktemp("bench"))
     cache = wl.Cache(root)
-    specs = wl.seeded_specs(3)
+    specs = wl.SPECS
     paths, refs = {}, {}
     for name, spec in specs.items():
         path = cache.path(spec, "tiny")
@@ -111,9 +111,9 @@ def test_layer_times_add_up_to_traced_wall(tiny, workload):
 
 
 def test_layers_are_exercised_where_predicted(tiny):
-    warm, _ = _traced_pass(tiny, "static-warm")
-    cold, _ = _traced_pass(tiny, "cold-ingress")
-    serve, _ = _traced_pass(tiny, "serve-churn")
+    warm, _ = _traced_pass(tiny, "warm")
+    cold, _ = _traced_pass(tiny, "cold")
+    serve, _ = _traced_pass(tiny, "serve")
     assert warm["graphs.npz_load_s"] > 0 and warm["shard.round_s"] > 0
     assert warm["generators.build_s"] == 0 and warm["obs.registry_calls"] == 0
     assert cold["generators.build_s"] > 0 and cold["graphs.from_edges_s"] > 0
@@ -161,7 +161,7 @@ def test_renamed_target_is_a_missing_layer_not_a_crash(tiny, monkeypatch):
     monkeypatch.setattr(
         layers, "TARGETS", tuple(t for t in layers.TARGETS if t not in drop)
     )
-    metrics, ledger = _traced_pass(tiny, "static-warm")
+    metrics, ledger = _traced_pass(tiny, "warm")
     assert ledger.failed == 0
     assert "structures.hbs_s" not in metrics
     assert "graphs.npz_load_s" in metrics
@@ -193,3 +193,30 @@ def test_printed_units_match_benchmark_json():
         spec = json.load(handle)
     for metric in spec["end_to_end"] + spec["per_layer"]:
         assert run._unit(metric["name"]) == metric["unit"], metric
+
+
+def test_clock_scales_a_sample_by_its_cpus_calibrations_around_it():
+    clock = wl.Clock()
+    clock.at = [1.0, 2.0, 3.0]
+    clock.cal = [{0: 0.004, 1: 0.002}, {0: 0.006}, {0: 0.003, 1: 0.001}]
+    clock.cpu = [0, 0, 1]
+    # Between the first two ticks the process ran on CPU 0.
+    assert clock.seconds((1.2, 0.5)) == pytest.approx(
+        0.5 * wl.CAL_REF_S / 0.005
+    )
+    # After the last tick only the calibration before it is known.
+    assert clock.seconds((3.5, 0.1)) == pytest.approx(
+        0.1 * wl.CAL_REF_S / 0.001
+    )
+
+
+def test_clock_pins_to_one_cpu_and_releases_all():
+    before = os.sched_getaffinity(0)
+    clock = wl.Clock()
+    clock.tick(force=True)
+    assert len(os.sched_getaffinity(0)) == 1
+    assert clock.cpu[-1] in before
+    clock.tick()  # within CAL_EVERY_S: no second calibration
+    assert len(clock.at) == 1
+    clock.release()
+    assert os.sched_getaffinity(0) == before

@@ -1,10 +1,12 @@
-"""The traced run: per-layer split of one pass of a workload.
+"""The traced run: per-layer split of a workload's pass.
 
-One pass runs untraced, then the same pass (same cells, same order) runs
-with :class:`layers.LayerTrace` installed; the difference of the two
-walls is the tracing overhead.  Times are wall seconds inside the timed
-regions only.  ``*_s`` layer times are self times, except the ones named
-as totals below, so on every workload::
+A pass runs untraced, then the same pass (same cells) runs with
+:class:`layers.LayerTrace` installed, in rounds for ``--seconds``; the
+difference of the two walls is the tracing overhead.  Times are wall
+seconds inside the timed regions only, per pass, scaled to the
+reference speed by one factor per run (:class:`workloads.Clock`).
+``*_s`` layer times are self times, except the ones named as totals
+below, so on every workload::
 
     trace.wall_s = sum(SELF_TIMES) + sum(core.self_s.*) + bench.self_s
 """
@@ -12,6 +14,7 @@ as totals below, so on every workload::
 from __future__ import annotations
 
 import math
+import time
 
 import workloads as wl
 from layers import LayerTrace
@@ -36,26 +39,59 @@ SELF_TIMES = {
 }
 
 
-def _one_pass(runner: wl.Runner, workload: str) -> None:
-    size = wl.SIZES[workload]
-    if workload == "static-warm":
-        runner.warm_pass(size)
-    elif workload == "cold-ingress":
-        runner.cold_pass(size)
-    else:
-        runner.serve_replay(size)
+def _one_round(runner: wl.Runner, workload: str) -> None:
+    """The workload's own pass, then one probe pass of each other
+    measurement, as a measured run interleaves them."""
+    own = wl.WORKLOADS[workload]
+    for kind, one_pass in runner.passes().items():
+        one_pass(wl.OWN_SIZE if kind == own else wl.PROBE_SIZE)
 
 
 def traced_metrics(cache, inputs, args, ledger):
-    plain = wl.Runner(cache, inputs, args.seed, ledger)
-    _one_pass(plain, args.workload)
+    """Per-pass layer metrics over ``--seconds`` of paired passes.
 
-    with LayerTrace() as trace:
-        runner = wl.Runner(cache, inputs, args.seed, ledger, trace=trace)
-        _one_pass(runner, args.workload)
-    return layer_metrics(trace, runner, plain.wall), {
-        "missing_layers": trace.missing,
+    Each round runs the workload's pass untraced, then with the wrappers
+    installed (and removed again).  Times and counts are per pass; every
+    pass does the same work, so the counts stay exact.
+    """
+    plain = wl.Runner(cache, inputs, args.seed, ledger, clock=wl.Clock())
+    trace = LayerTrace()
+    runner = wl.Runner(cache, inputs, args.seed, ledger, trace=trace,
+                       clock=wl.Clock())
+    passes, start = 0, time.perf_counter()
+    while not passes or time.perf_counter() - start < args.seconds:
+        _one_round(plain, args.workload)
+        with trace:
+            _one_round(runner, args.workload)
+        passes += 1
+        if passes == 1:
+            first_work = list(runner.work)
+    runner.clock.release()
+
+    metrics = layer_metrics(trace, runner, plain.wall)
+    # Calibrated like the end-to-end metrics, one factor per run: the
+    # calibrations fall between operations, the layer times inside them.
+    scale = _scale(runner)
+    for name, value in metrics.items():
+        if not name.endswith("_ratio"):
+            metrics[name] = value * (scale if _is_time(name) else 1) / passes
+    metrics["trace.overhead_s"] = (
+        runner.wall * scale - plain.wall * _scale(plain)
+    ) / passes
+    metrics["runtime.work"] = math.fsum(first_work)
+    return metrics, {
+        "missing_layers": list(dict.fromkeys(trace.missing)),
+        "traced_passes": passes,
     }
+
+
+def _scale(runner: wl.Runner) -> float:
+    """Calibrated over raw seconds of a runner's timed operations."""
+    return sum(map(runner.clock.seconds, runner.stamps)) / runner.wall
+
+
+def _is_time(name: str) -> bool:
+    return any(part.endswith("_s") for part in name.split("."))
 
 
 def layer_metrics(trace: LayerTrace, runner: wl.Runner, plain_wall: float):

@@ -8,10 +8,13 @@ Everything here calls the program through its public functions only:
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import gc
 import math
 import os
 import shutil
+import statistics
 import time
 import traceback
 
@@ -40,31 +43,32 @@ SERVE_GRAPH = "LJ-S"
 SERVE_BATCHES = 110
 SERVE_BATCH_SIZE = 64
 SERVE_READS_PER_BATCH = 8
+#: The stream's seed is fixed like the graphs': over five stream seeds
+#: the same replay took 28 073 to 31 829 subrounds and applied 3 173 to
+#: 3 373 updates, a spread of the input rather than of the program.
+SERVE_SEED = 11
 
-#: The three measurements, named after the workload that runs them at
-#: its own tier for ``--seconds``.  Every workload also runs the other
-#: two briefly on the tiny tier (``PROBE_SIZE``), so every metric is
-#: reported on every workload (README.md).
-SIZES = {"static-warm": "large", "cold-ingress": "full", "serve-churn": "full"}
+#: Workload -> the measurement it runs at ``OWN_SIZE`` for ``--seconds``.
+#: Every run also probes the other measurements on ``PROBE_SIZE``, so
+#: every metric is reported on every workload.  The serve replay runs
+#: only as a probe: as a workload of its own its tiny-tier decomposition
+#: probes spread 0.13-0.28 over five runs (README.md).  The own tier is
+#: ``full``: a large-tier warm pass takes 5-7 s (shard on GRID alone
+#: 2-3 s), too few repeats per run for a steady mean on a shared host.
+WORKLOADS = {"static-warm": "warm", "cold-ingress": "cold"}
+OWN_SIZE = "full"
 PROBE_SIZE = "tiny"
 
 #: Shard pool size: coordinator plus workers fit in the CPUs this
-#: process may use when it starts (before :class:`QuietCpu` pins it).
+#: process may use.
 SHARD_WORKERS = max(1, len(os.sched_getaffinity(0)) - 1)
 
 
-def seeded_specs(seed: int) -> dict[str, GraphSpec]:
-    """The three suite entries; LJ-S's generator seed is the run's seed."""
-    specs = {name: SUITE[name] for name in GRAPHS}
-    lj = specs["LJ-S"]
-    specs["LJ-S"] = dataclasses.replace(
-        lj,
-        recipes={
-            size: (generator, {**params, "seed": seed})
-            for size, (generator, params) in lj.recipes.items()
-        },
-    )
-    return specs
+#: The suite's own recipes, so every run decomposes the same graphs.  The
+#: LJ-S generator's seed stays the suite's: over six seeds ``ours`` took
+#: either about 0.12 s or about 0.24 s on the large LJ-S, and a seeded
+#: graph would measure which half a seed falls in (README.md).
+SPECS: dict[str, GraphSpec] = {name: SUITE[name] for name in GRAPHS}
 
 
 class Cache:
@@ -72,33 +76,25 @@ class Cache:
 
     def __init__(self, root: str) -> None:
         self.base = os.path.join(root, ".perfbench_cache")
-        #: Graphs whose recipe has no seed; kept across runs.
-        self.fixed = os.path.join(self.base, "graphs")
-        #: Graphs built from the run's seed; rebuilt by every run.
-        self.seeded = os.path.join(self.base, "seeded")
+        #: The input graphs; built once per checkout.
+        self.graphs = os.path.join(self.base, "graphs")
         #: The empty graph cache a cold pass generates into.
         self.cold = os.path.join(self.base, "cold")
 
     def path(self, spec: GraphSpec, size: str) -> str:
-        directory = self.seeded if spec.name == "LJ-S" else self.fixed
         return gio.cached_graph_path(
-            directory, spec.name, size, spec.cache_key(size)
+            self.graphs, spec.name, size, spec.cache_key(size)
         )
 
 
-def build_inputs(root: str, workload: str, seed: int) -> None:
-    """Make the run's input graphs and the native kernel, before set-up.
-
-    Graphs without a seed are built once per checkout; the seeded LJ-S
-    is built for every run, so each run starts from the same state.
-    """
+def build_inputs(root: str) -> None:
+    """Make the input graphs and the native kernel, before set-up."""
     from repro.perf import native_available
 
     native_available()
     cache = Cache(root)
-    shutil.rmtree(cache.seeded, ignore_errors=True)
-    for size in (SIZES[workload], PROBE_SIZE):
-        for spec in seeded_specs(seed).values():
+    for size in (OWN_SIZE, PROBE_SIZE):
+        for spec in SPECS.values():
             path = cache.path(spec, size)
             if not os.path.exists(path):
                 gio.store_cached_graph(spec.build_size(size), path)
@@ -164,11 +160,11 @@ class Inputs:
     events: dict[str, list]
 
 
-def set_up(cache: Cache, workload: str, seed: int) -> Inputs:
+def set_up(cache: Cache) -> Inputs:
     """Graph-cache state, references, the serve stream and a warm-up."""
-    specs = seeded_specs(seed)
-    paths, refs, events = {}, {}, {}
-    for size in (SIZES[workload], PROBE_SIZE):
+    specs = SPECS
+    paths, refs = {}, {}
+    for size in (OWN_SIZE, PROBE_SIZE):
         for name, spec in specs.items():
             path = cache.path(spec, size)
             graph = gio.load_cached_graph(path)
@@ -176,11 +172,11 @@ def set_up(cache: Cache, workload: str, seed: int) -> Inputs:
                 raise RuntimeError(f"graph cache lacks {path}")
             paths[(name, size)] = path
             refs[(name, size)] = reference_coreness(graph)
-        events[size] = generate_stream(
-            gio.load_cached_graph(paths[(SERVE_GRAPH, size)]), "churn",
-            batches=SERVE_BATCHES, batch_size=SERVE_BATCH_SIZE,
-            queries_per_batch=SERVE_READS_PER_BATCH, seed=seed,
-        )
+    events = {PROBE_SIZE: generate_stream(
+        gio.load_cached_graph(paths[(SERVE_GRAPH, PROBE_SIZE)]), "churn",
+        batches=SERVE_BATCHES, batch_size=SERVE_BATCH_SIZE,
+        queries_per_batch=SERVE_READS_PER_BATCH, seed=SERVE_SEED,
+    )}
     # Warm-up: every engine once on a tiny graph, so lazy imports and
     # the first native-kernel calls happen here, not in a timed pass.
     for engine in ENGINE_NAMES:
@@ -193,61 +189,141 @@ def set_up(cache: Cache, workload: str, seed: int) -> Inputs:
 # ----------------------------------------------------------------------
 # Timed operations
 # ----------------------------------------------------------------------
-def _spin() -> None:
-    total = 0
-    for i in range(20_000):
-        total += i
+#: The calibration load: a fixed interpreter loop and fixed NumPy
+#: gathers and counts over 8 MB, the two kinds of work the program does
+#: outside its native kernels.  About 3 ms.
+_CAL_RNG = np.random.default_rng(0)
+_CAL_INDEX = _CAL_RNG.integers(0, 1 << 20, size=1 << 16)
+_CAL_VALUES = _CAL_RNG.random(1 << 20)
+
+#: Seconds the calibration load takes on a quiet vCPU of the reference
+#: host (README.md); a calibrated time reads in seconds at that speed.
+CAL_REF_S = 0.0025
+#: Least seconds between two calibrations (operations shorter than this
+#: share the calibrations around them), and between two CPU choices.
+CAL_EVERY_S = 0.05
+CHOOSE_EVERY_S = 0.5
 
 
-class QuietCpu:
-    """Moves this process to the CPUs that currently run a fixed loop
-    fastest.  On a shared host each CPU slows down in phases (a fixed
-    loop runs up to 1.7x its best time for seconds to a minute), and the
-    phases of different CPUs are independent, so picking the quieter CPUs
-    before each operation removes most of that noise.  Shard workers
-    fork from this process and inherit its CPUs; the coordinator waits
-    while they compute, so a shard call gets one CPU per worker.
+def calibration() -> float:
+    """Wall seconds of the fixed calibration load."""
+    start = time.perf_counter()
+    table: dict[int, int] = {}
+    for i in range(8_000):
+        key = i & 1023
+        table[key] = table.get(key, 0) + i
+    for _ in range(2):
+        _CAL_VALUES[_CAL_INDEX].sum()
+        np.bincount(_CAL_INDEX, minlength=1 << 20)
+    return time.perf_counter() - start
+
+
+class Clock:
+    """Host speed, measured right beside each timed operation.
+
+    On a shared host each vCPU runs at one of two speeds (about 1.7x
+    apart) in phases of a tenth of a second to seconds, independently of
+    the other vCPUs, and whole runs can be slow.  Just before each timed
+    operation (at most every ``CAL_EVERY_S``) ``tick`` times a fixed
+    calibration load on the CPU this process is pinned to; at most every
+    ``CHOOSE_EVERY_S`` it times the load on every CPU the process may use
+    and pins the process to the fastest.  A sample is scaled by
+    ``CAL_REF_S`` over the mean of its CPU's calibrations just before and
+    just after it, so it reads in seconds at the reference speed.  The
+    calibration load is the benchmark's own code: a change of the
+    program moves its samples and never the scale.  Shard workers fork
+    from the pinned process and share its CPU while the coordinator
+    waits on them.
     """
 
     def __init__(self) -> None:
         self.cpus = sorted(os.sched_getaffinity(0))
+        #: Per tick: when it ended, the calibrations it made by CPU, and
+        #: the CPU the process runs on after it.
+        self.at: list[float] = []
+        self.cal: list[dict[int, float]] = []
+        self.cpu: list[int] = []
+        self._chosen_at = -math.inf
 
-    def _speed(self, cpu: int) -> float:
-        os.sched_setaffinity(0, {cpu})
-        best = math.inf
-        for _ in range(3):
-            start = time.perf_counter()
-            _spin()
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    def pick(self, count: int = 1) -> None:
-        if len(self.cpus) > count:
-            quiet = sorted(self.cpus, key=self._speed)[:count]
-            os.sched_setaffinity(0, set(quiet))
+    def tick(self, force: bool = False) -> None:
+        now = time.perf_counter()
+        if not force and self.at and now - self.at[-1] < CAL_EVERY_S:
+            return
+        if now - self._chosen_at >= CHOOSE_EVERY_S or len(self.cpus) == 1:
+            cal = {}
+            for cpu in self.cpus:
+                if len(self.cpus) > 1:
+                    os.sched_setaffinity(0, {cpu})
+                cal[cpu] = calibration()
+            cpu = min(cal, key=cal.get)
+            if len(self.cpus) > 1:
+                os.sched_setaffinity(0, {cpu})
+            self._chosen_at = now
         else:
-            os.sched_setaffinity(0, set(self.cpus))
+            cpu = self.cpu[-1]
+            cal = {cpu: calibration()}
+        self.at.append(time.perf_counter())
+        self.cal.append(cal)
+        self.cpu.append(cpu)
+
+    def release(self) -> None:
+        """Lets this process run on all its CPUs again."""
+        os.sched_setaffinity(0, set(self.cpus))
+
+    def seconds(self, stamp: tuple[float, float]) -> float:
+        """A raw ``(start, elapsed)`` sample in reference seconds."""
+        start, elapsed = stamp
+        after = bisect.bisect_left(self.at, start + elapsed)
+        cpu = self.cpu[max(after - 1, 0)]
+        near = [cal[cpu] for cal in self.cal[max(after - 1, 0):after + 1]]
+        return elapsed * CAL_REF_S / (sum(near) / len(near))
+
+    def summary(self) -> dict:
+        """Calibration walls of the chosen CPUs, for the config line."""
+        chosen = [cal[cpu] for cal, cpu in zip(self.cal, self.cpu)]
+        return {
+            "count": len(chosen), "median_s": statistics.median(chosen),
+            "min_s": min(chosen), "max_s": max(chosen),
+            "reference_s": CAL_REF_S,
+        }
+
+
+def _collect() -> None:
+    """Frees the garbage of earlier passes before a pass starts, so that
+    a long pass's leftovers are not collected inside the next pass's
+    timed calls (a collection takes milliseconds; a tiny-tier call less)."""
+    gc.collect()
 
 
 class Runner:
     """Runs the timed operations; ``trace`` attributes them to layers."""
 
     def __init__(self, cache: Cache, inputs: Inputs, seed: int,
-                 ledger: Ledger, trace=None) -> None:
+                 ledger: Ledger, trace=None, clock: Clock | None = None,
+                 ) -> None:
         self.cache = cache
         self.inputs = inputs
         self.rng = np.random.default_rng(seed)
         self.ledger = ledger
         self.trace = trace
-        self.cpu = QuietCpu()
-        #: Sum of the timed regions (the traced wall in a traced run).
+        self.clock = clock
+        #: Sum of the timed regions (the traced wall in a traced run), and
+        #: the ``(start, elapsed)`` stamp of each.
         self.wall = 0.0
+        self.stamps: list[tuple[float, float]] = []
         #: Exact counts from the results: rounds, subrounds, work.
         self.rounds = 0
         self.subrounds = 0
         self.work: list[float] = []
 
-    def _timed(self, fn, *args):
+    def _timed(self, fn, *args, calibrate: bool = True):
+        """Runs ``fn``; its ``(start, elapsed)`` stamp is left in ``_last``.
+
+        With a clock, a calibration runs just before ``fn`` unless
+        ``calibrate`` is false (for calls of microseconds).
+        """
+        if self.clock is not None and calibrate:
+            self.clock.tick()
         if self.trace is not None:
             self.trace.recording = True
         start = time.perf_counter()
@@ -258,7 +334,13 @@ class Runner:
             self.wall += elapsed
             if self.trace is not None:
                 self.trace.recording = False
-            self._last = elapsed
+            self._last = (start, elapsed)
+            self.stamps.append(self._last)
+
+    def passes(self) -> dict:
+        """Measurement name -> the pass that runs it on a given tier."""
+        return {"warm": self.warm_pass, "cold": self.cold_pass,
+                "serve": self.serve_replay}
 
     def _note(self, metrics) -> None:
         self.rounds += metrics.rounds
@@ -273,13 +355,13 @@ class Runner:
 
     def warm_pass(self, size: str) -> dict[str, dict[str, float]]:
         """One warm call per (engine, graph) cell, in seeded order."""
+        _collect()
         cells = [(e, g) for e in ENGINE_NAMES for g in GRAPHS]
         order = self.rng.permutation(len(cells))
         times: dict[str, dict[str, float]] = {e: {} for e in ENGINE_NAMES}
         for index in order:
             engine, name = cells[index]
             cell = f"{engine}/{name}-{size}"
-            self.cpu.pick(SHARD_WORKERS if engine == "shard" else 1)
             try:
                 result = self._timed(
                     self._decompose, engine, self.inputs.paths[(name, size)]
@@ -307,11 +389,11 @@ class Runner:
 
     def cold_pass(self, size: str) -> dict[str, float]:
         """Generate, write, load and decompose each graph from empty."""
+        _collect()
         times = {}
         for name in GRAPHS:
             shutil.rmtree(self.cache.cold, ignore_errors=True)
             cell = f"cold/{name}-{size}"
-            self.cpu.pick()
             try:
                 result = self._timed(
                     self._cold, self.inputs.specs[name], size
@@ -330,9 +412,10 @@ class Runner:
     def serve_replay(self, size: str) -> tuple[list[float], int] | None:
         """One closed-loop replay of the churn stream on a fresh service.
 
-        Returns the wall of every event (``submit_batch`` or
+        Returns the stamp of every event (``submit_batch`` or
         ``submit_query``), in stream order, and the applied update count.
         """
+        _collect()
         graph = gio.load_cached_graph(self.inputs.paths[(SERVE_GRAPH, size)])
         service = CoreService(graph)
         epochs = [service.engine.coreness.copy()]
@@ -340,14 +423,15 @@ class Runner:
         walls: list[float] = []
         reads = []
         events = self.inputs.events[size]
-        self.cpu.pick()
         for index, event in enumerate(events):
             try:
                 if isinstance(event, UpdateBatch):
                     commits.append(self._timed(service.submit_batch, event))
                     epochs.append(service.engine.coreness.copy())
                 else:
-                    value, epoch = self._timed(service.submit_query, event)
+                    value, epoch = self._timed(
+                        service.submit_query, event, calibrate=False
+                    )
                     reads.append((event, value, epoch))
             except Exception as exc:
                 self.ledger.record(
@@ -379,44 +463,53 @@ class Runner:
 # ----------------------------------------------------------------------
 # Measurement loops and end-to-end metrics
 # ----------------------------------------------------------------------
-# Every timing below is the minimum over a run's repeats of the same
-# cell (engine x graph, graph, or stream event): each repeat does the
-# same work, and the host's speed drifts in phases of seconds, which
-# the minimum filters and the median does not (README.md).
+# Every sample is a raw ``(start, elapsed)`` stamp; ``seconds`` turns
+# it into a time (``Clock.seconds`` in a measured run).  Each timing is
+# the mean over a run's repeats of the same cell (engine x graph, graph,
+# or stream event): the host's two speeds make the median jump between
+# them when a run's samples fall about evenly into both.
 
 
-def decompose_metrics(passes: list[dict[str, dict[str, float]]]):
-    """Per engine: sum over graphs of the fastest warm call."""
+def decompose_metrics(passes: list[dict[str, dict]], seconds):
+    """Per engine: sum over graphs of the mean warm call."""
     out, samples = {}, {}
     for engine in ENGINE_NAMES:
         per_graph = [
-            [p[engine][g] for p in passes if g in p[engine]] for g in GRAPHS
+            [seconds(p[engine][g]) for p in passes if g in p[engine]]
+            for g in GRAPHS
         ]
         samples[engine] = min(len(s) for s in per_graph)
         if samples[engine]:
-            out[f"decompose_s.{engine}"] = sum(min(s) for s in per_graph)
+            out[f"decompose_s.{engine}"] = sum(
+                statistics.fmean(s) for s in per_graph
+            )
     return out, samples
 
 
-def cold_metrics(passes: list[dict[str, float]]):
-    """Sum over graphs of the fastest cold pipeline."""
-    per_graph = [[p[g] for p in passes if g in p] for g in GRAPHS]
+def cold_metrics(passes: list[dict], seconds):
+    """Sum over graphs of the mean cold pipeline."""
+    per_graph = [[seconds(p[g]) for p in passes if g in p] for g in GRAPHS]
     count = min(len(s) for s in per_graph)
     if not count:
         return {}, 0
-    return {"cold_s": sum(min(s) for s in per_graph)}, count
+    return {
+        "cold_s": sum(statistics.fmean(s) for s in per_graph)
+    }, count
 
 
-def serve_metrics(replays, events):
-    """Batch percentiles and throughput of the fastest wall per event."""
+def serve_metrics(replays, events, seconds):
+    """Batch percentiles and throughput of the mean wall per event."""
     replays = [r for r in replays if r is not None]
     if not replays:
         return {}, 0
-    fastest = np.min([walls for walls, _ in replays], axis=0)
+    walls = np.mean(
+        [[seconds(stamp) for stamp in stamps] for stamps, _ in replays],
+        axis=0,
+    )
     is_batch = np.array([isinstance(e, UpdateBatch) for e in events])
-    p50, p90 = np.percentile(fastest[is_batch], [50, 90])
+    p50, p90 = np.percentile(walls[is_batch], [50, 90])
     return {
-        "updates_per_s": replays[0][1] / float(fastest.sum()),
+        "updates_per_s": replays[0][1] / float(walls.sum()),
         "batch_p50_ms": float(p50) * 1e3,
         "batch_p90_ms": float(p90) * 1e3,
     }, {"batches": int(is_batch.sum()), "replays": len(replays)}
