@@ -128,8 +128,8 @@ def semi_external_coreness(
     # Pass 0: degrees.
     degrees = np.zeros(n, dtype=np.int64)
     for u, v in _stream_edges(edge_path, chunk_edges):
-        np.add.at(degrees, u, 1)
-        np.add.at(degrees, v, 1)
+        degrees += np.bincount(u, minlength=n)
+        degrees += np.bincount(v, minlength=n)
     estimate = degrees.copy()
     passes = 1
 

@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.errors import SamplingRestartError
 from repro.graphs.csr import CSRGraph
+from repro.primitives.dedupe import unique_sorted
 from repro.runtime.atomics import batch_increment_clamped
 from repro.runtime.simulator import SimRuntime
 
@@ -203,7 +204,7 @@ class SamplingState:
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         if not assume_unique:
-            vertices = np.unique(vertices)
+            vertices = unique_sorted(vertices)
         if vertices.size == 0:
             return vertices
         vertices = vertices[self.mode[vertices]]

@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.errors import GraphFormatError, InvalidGraphError
+from repro.primitives.dedupe import unique_sorted
 
 
 class CSRGraph:
@@ -97,23 +98,18 @@ class CSRGraph:
         if arr.size and (arr.min() < 0 or arr.max() >= n):
             raise GraphFormatError("edge endpoint out of range")
 
-        src, dst = arr[:, 0], arr[:, 1]
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
-        if symmetrize:
-            src, dst = (
-                np.concatenate([src, dst]),
-                np.concatenate([dst, src]),
-            )
+        keep = arr[:, 0] != arr[:, 1]
+        src, dst = arr[:, 0][keep], arr[:, 1][keep]
         # Deduplicate arcs via a fused key sort.
         key = src * np.int64(n) + dst
-        key = np.unique(key)
-        src = key // n
-        dst = key % n
+        if symmetrize:
+            key = np.concatenate([key, dst * np.int64(n) + src])
+        del src, dst  # bounds ingress peak memory: the sort copies ``key``
+        key = unique_sorted(key)
+        src, dst = np.divmod(key, n)
 
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         # Arcs are already sorted by (src, dst) thanks to the key sort.
         return cls(indptr, dst, name=name, validate=False)
 
@@ -201,7 +197,7 @@ class CSRGraph:
         Used to materialize a specific ``G_k`` from a decomposition and by
         the max k'-core extraction of Appendix B.
         """
-        vertices = np.unique(np.asarray(vertices, dtype=np.int64))
+        vertices = unique_sorted(np.asarray(vertices, dtype=np.int64))
         keep = np.zeros(self.n, dtype=bool)
         keep[vertices] = True
         relabel = np.full(self.n, -1, dtype=np.int64)

@@ -22,8 +22,9 @@ resolved call graph:
   summary (parameter markers map caller arguments into the callee),
   unresolved calls conservatively union their argument taints.
 * **Sanitizers** strip the ``unordered-iter`` kind: ``sorted()``,
-  ``np.sort`` / ``np.unique`` / ``np.argsort``, ``min`` / ``max``, and
-  comparisons (membership tests are order-insensitive).
+  ``np.sort`` / ``np.unique`` / ``np.argsort``, ``unique_sorted``,
+  ``min`` / ``max``, and comparisons (membership tests are
+  order-insensitive).
 * **Sinks** are where the rules fire: the argument expressions of
   ledger charges (``parallel_for`` / ``sequential`` / ... /
   ``record_*``) and assignments through ``.metrics.``.
@@ -56,6 +57,8 @@ _SANITIZERS = frozenset(
         "numpy.unique",
         "numpy.argsort",
         "numpy.lexsort",
+        "repro.primitives.unique_sorted",
+        "repro.primitives.dedupe.unique_sorted",
     }
 )
 

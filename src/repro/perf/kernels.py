@@ -61,7 +61,8 @@ The exactness argument, per mechanism:
   because every pinned cost model uses dyadic-rational constants (see
   docs/PERFORMANCE.md).  Aggregation orderings the kernels change
   (contention multisets, touched sets, bucket updates, frontier merges)
-  are all canonicalized downstream (``np.unique``) or order-insensitive.
+  are all canonicalized downstream (``unique_sorted``) or
+  order-insensitive.
 """
 
 from __future__ import annotations

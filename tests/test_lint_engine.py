@@ -323,6 +323,20 @@ class TestTaintDataflow:
         )
         assert findings == []
 
+    def test_unique_sorted_sanitizes(self):
+        findings = self._r003(
+            """
+            import numpy as np
+            from repro.primitives import unique_sorted
+
+            def outer(runtime):
+                seen = {1, 2, 3}
+                order = unique_sorted(np.array([v for v in seen]))
+                runtime.record_order(order)
+            """
+        )
+        assert findings == []
+
 
 # ----------------------------------------------------------------------
 # R004 disjointness refinements
@@ -344,6 +358,21 @@ class TestR004Disjointness:
             def peel(dtilde, frontier, k):
                 outcome = batch_decrement(dtilde, frontier, k)
                 touched = np.unique(frontier)
+                dtilde[touched] = 0
+                return outcome
+            """
+        )
+        assert findings == []
+
+    def test_unique_sorted_index_write_is_clean(self):
+        findings = self._r004(
+            """
+            from repro.primitives.dedupe import unique_sorted
+            from repro.runtime.atomics import batch_decrement
+
+            def peel(dtilde, frontier, k):
+                outcome = batch_decrement(dtilde, frontier, k)
+                touched = unique_sorted(frontier)
                 dtilde[touched] = 0
                 return outcome
             """
