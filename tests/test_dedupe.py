@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 import repro
 from repro.graphs.csr import CSRGraph
+from repro.lint.astutil import call_name
+from repro.lint.engine.modulegraph import Module
 from repro.primitives import unique_sorted
 
 DTYPES = [np.int64, np.int32, np.uint8, np.bool_]
@@ -160,35 +162,21 @@ PACKAGE = Path(repro.__file__).resolve().parent
 EXEMPT = {PACKAGE / "primitives" / "dedupe.py"}
 
 
-def plain_unique_calls(source: str) -> list[int]:
+def plain_unique_calls(source: str, path: str = "module.py") -> list[int]:
     """Line numbers of ``np.unique`` calls without a ``return_*`` flag.
 
-    Tracks the names ``numpy`` is bound to (``import numpy as np``,
-    ``from numpy import unique``) so aliases are caught too.
+    Callee names are expanded through the lint engine's import-alias
+    table, so ``import numpy as xp`` and ``from numpy import unique as u``
+    are caught too.
     """
-    tree = ast.parse(source)
-    modules, functions = {"numpy"}, set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "numpy":
-                    modules.add(alias.asname or "numpy")
-        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
-            for alias in node.names:
-                if alias.name == "unique":
-                    functions.add(alias.asname or "unique")
+    module = Module.parse(path, source)
     lines = []
-    for node in ast.walk(tree):
+    for node in ast.walk(module.tree):
         if not isinstance(node, ast.Call):
             continue
-        func = node.func
-        is_unique = (
-            isinstance(func, ast.Attribute)
-            and func.attr == "unique"
-            and isinstance(func.value, ast.Name)
-            and func.value.id in modules
-        ) or (isinstance(func, ast.Name) and func.id in functions)
-        if not is_unique:
+        head, _, rest = (call_name(node) or "").partition(".")
+        target = module.import_aliases.get(head, head)
+        if (f"{target}.{rest}" if rest else target) != "numpy.unique":
             continue
         flagged = any(
             kw.arg in _SORT_PATH_FLAGS
@@ -204,6 +192,7 @@ def plain_unique_calls(source: str) -> list[int]:
 
 def test_guard_detects_plain_unique():
     source = (
+        "import numpy\n"
         "import numpy as xp\n"
         "from numpy import unique as u\n"
         "a = xp.unique(b)\n"
@@ -211,7 +200,7 @@ def test_guard_detects_plain_unique():
         "e = u(b, return_counts=False)\n"
         "f = numpy.unique(b)\n"
     )
-    assert plain_unique_calls(source) == [3, 5, 6]
+    assert plain_unique_calls(source) == [4, 6, 7]
 
 
 def test_package_has_no_plain_np_unique():
@@ -219,7 +208,7 @@ def test_package_has_no_plain_np_unique():
     for path in sorted(PACKAGE.rglob("*.py")):
         if path in EXEMPT or (PACKAGE / "lint") in path.parents:
             continue
-        for line in plain_unique_calls(path.read_text()):
+        for line in plain_unique_calls(path.read_text(), str(path)):
             offenders.append(f"{path.relative_to(PACKAGE)}:{line}")
     assert offenders == [], (
         "plain np.unique takes NumPy's hash path (slow since NumPy 2.3); "
