@@ -27,7 +27,7 @@ from pathlib import Path
 from repro.lint.finding import Finding
 
 #: Bump when analysis semantics change; invalidates every entry.
-ENGINE_VERSION = "repro-lint-engine/2"
+ENGINE_VERSION = "repro-lint-engine/3"
 
 
 @dataclass

@@ -15,4 +15,5 @@ from repro.lint.rules import (  # noqa: F401
     r007_native_parity,
     r008_metrics_side_effect,
     r009_shard_determinism,
+    r010_plain_unique,
 )

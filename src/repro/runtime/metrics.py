@@ -93,6 +93,12 @@ class RunMetrics:
     peak_frontier: int = 0
     #: Vertices processed inside VGC local searches (not via new subrounds).
     local_search_hits: int = 0
+    #: :meth:`time_on`'s running prefix per pricing key ``(p_eff,
+    #: omega_time)``: ``(steps priced, their total)``.  A cache, so it
+    #: is left out of equality, ``repr`` and :meth:`to_stable_dict`.
+    _priced: dict[tuple[float, float], tuple[int, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def record_parallel(
         self,
@@ -141,17 +147,28 @@ class RunMetrics:
         scheduling cost (``omega_time``) of its barriers.  On one thread
         the execution is sequential, so barriers cost nothing and the time
         is exactly the work.
+
+        The ledger is append-only: only :meth:`record_parallel`,
+        :meth:`record_sequential` and :meth:`merge` write ``steps``, and
+        only at its end.  So a call prices just the steps appended since
+        the last call with the same ``(p_eff, omega_time)`` key and
+        continues that call's running total, in the same left-to-right
+        order as a walk over the whole ledger: the result is bit-exact,
+        and a caller that reads the clock once per batch pays only for
+        the batch's steps.
         """
         if threads == 1:
             return self.work
         p_eff = model.effective_cores(threads)
-        total = 0.0
-        for step in self.steps:
+        key = (p_eff, model.omega_time)
+        priced, total = self._priced.get(key, (0, 0.0))
+        for step in self.steps[priced:]:
             compute, sync = step_time_parts(
                 step.work, step.span, step.barriers, p_eff, model
             )
             total += compute
             total += sync
+        self._priced[key] = (len(self.steps), total)
         return total
 
     def merge(self, other: "RunMetrics") -> None:

@@ -3,24 +3,18 @@
 ``unique_sorted`` must return exactly what ``np.unique`` returns (values
 and dtype) so that replacing one with the other leaves every coreness,
 ledger and golden bit-exact.  ``CSRGraph.from_edges`` is checked against
-a reference built from a Python ``set`` of arcs, and an AST guard keeps
+a reference built from a Python ``set`` of arcs.  Lint rule R010 keeps
 plain ``np.unique`` (NumPy's hash path since 2.3) out of the package.
 """
 
 from __future__ import annotations
-
-import ast
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import repro
 from repro.graphs.csr import CSRGraph
-from repro.lint.astutil import call_name
-from repro.lint.engine.modulegraph import Module
 from repro.primitives import unique_sorted
 
 DTYPES = [np.int64, np.int32, np.uint8, np.bool_]
@@ -152,65 +146,3 @@ def test_from_edges_matches_set_reference(case, symmetrize, as_array):
     for row in rows:
         assert all(a < b for a, b in zip(row, row[1:]))
     assert rows == _reference_rows(n, edges, symmetrize)
-
-
-# ----------------------------------------------------------------------
-# Guard: no plain np.unique in the package
-# ----------------------------------------------------------------------
-_SORT_PATH_FLAGS = {"return_index", "return_inverse", "return_counts"}
-PACKAGE = Path(repro.__file__).resolve().parent
-EXEMPT = {PACKAGE / "primitives" / "dedupe.py"}
-
-
-def plain_unique_calls(source: str, path: str = "module.py") -> list[int]:
-    """Line numbers of ``np.unique`` calls without a ``return_*`` flag.
-
-    Callee names are expanded through the lint engine's import-alias
-    table, so ``import numpy as xp`` and ``from numpy import unique as u``
-    are caught too.
-    """
-    module = Module.parse(path, source)
-    lines = []
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        head, _, rest = (call_name(node) or "").partition(".")
-        target = module.import_aliases.get(head, head)
-        if (f"{target}.{rest}" if rest else target) != "numpy.unique":
-            continue
-        flagged = any(
-            kw.arg in _SORT_PATH_FLAGS
-            and not (
-                isinstance(kw.value, ast.Constant) and kw.value.value is False
-            )
-            for kw in node.keywords
-        )
-        if not flagged:
-            lines.append(node.lineno)
-    return sorted(lines)
-
-
-def test_guard_detects_plain_unique():
-    source = (
-        "import numpy\n"
-        "import numpy as xp\n"
-        "from numpy import unique as u\n"
-        "a = xp.unique(b)\n"
-        "c, d = xp.unique(b, return_counts=True)\n"
-        "e = u(b, return_counts=False)\n"
-        "f = numpy.unique(b)\n"
-    )
-    assert plain_unique_calls(source) == [4, 6, 7]
-
-
-def test_package_has_no_plain_np_unique():
-    offenders = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        if path in EXEMPT or (PACKAGE / "lint") in path.parents:
-            continue
-        for line in plain_unique_calls(path.read_text(), str(path)):
-            offenders.append(f"{path.relative_to(PACKAGE)}:{line}")
-    assert offenders == [], (
-        "plain np.unique takes NumPy's hash path (slow since NumPy 2.3); "
-        "use repro.primitives.unique_sorted: " + ", ".join(offenders)
-    )

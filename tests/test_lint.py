@@ -40,11 +40,11 @@ def rule_ids(findings) -> list[str]:
 # Registry
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_all_nine_rules_registered(self):
+    def test_all_ten_rules_registered(self):
         ids = [rule.rule_id for rule in all_rules()]
         assert ids == [
             "R001", "R002", "R003", "R004", "R005", "R006", "R007",
-            "R008", "R009",
+            "R008", "R009", "R010",
         ]
 
     def test_rules_have_names_and_summaries(self):
@@ -855,6 +855,86 @@ class TestR009ShardDeterminism:
             """,
             path=CORE_PATH,
             select=["R009"],
+        )
+        assert findings == []
+
+
+# ----------------------------------------------------------------------
+# R010 plain-unique
+# ----------------------------------------------------------------------
+class TestR010PlainUnique:
+    def test_plain_unique_is_flagged(self):
+        findings = lint(
+            """
+            import numpy as np
+
+            def frontier(ids):
+                return np.unique(ids)
+            """,
+            select=["R010"],
+        )
+        assert rule_ids(findings) == ["R010"]
+        assert "unique_sorted" in findings[0].message
+
+    def test_import_aliases_are_resolved(self):
+        findings = lint(
+            """
+            import numpy
+            import numpy as xp
+            from numpy import unique as u
+            a = xp.unique(b)
+            c, d = xp.unique(b, return_counts=True)
+            e = u(b, return_counts=False)
+            f = numpy.unique(b)
+            """,
+            select=["R010"],
+        )
+        assert [f.line for f in findings] == [5, 7, 8]
+
+    def test_sort_path_flags_and_unique_sorted_are_clean(self):
+        findings = lint(
+            """
+            import numpy as np
+            from repro.primitives import unique_sorted
+
+            def dedupe(ids, keys):
+                values, counts = np.unique(keys, return_counts=True)
+                _, first = np.unique(keys, return_index=True)
+                return unique_sorted(ids), values, counts, first
+            """,
+            select=["R010"],
+        )
+        assert findings == []
+
+    def test_unresolved_unique_is_clean(self):
+        # Without a numpy import the callee is some other ``unique``.
+        findings = lint("values = table.unique(keys)\n", select=["R010"])
+        assert findings == []
+
+    def test_suppression_silences_a_deliberate_call(self):
+        findings = lint(
+            """
+            import numpy as np
+            a = np.unique(b)  # lint: disable=R010
+            """,
+            select=["R010"],
+        )
+        assert findings == []
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "src/repro/primitives/dedupe.py",
+            "src/repro/lint/rules/snippet.py",
+            "tests/test_snippet.py",
+            "benchmarks/snippet.py",
+        ],
+    )
+    def test_rule_is_scoped_to_the_package(self, path):
+        findings = lint(
+            "import numpy as np\na = np.unique(b)\n",
+            path=path,
+            select=["R010"],
         )
         assert findings == []
 

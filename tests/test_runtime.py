@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime.atomics import (
     batch_decrement,
@@ -116,6 +118,113 @@ class TestRunMetrics:
         m.observe_contention(3, count=2)
         assert m.max_contention == 5
         assert m.atomics == 12
+
+
+# ----------------------------------------------------------------------
+# Incremental time_on: bit-exact against a from-scratch walk
+# ----------------------------------------------------------------------
+#: Thread counts for the property test; 192 is past ``n_cores`` so the
+#: hyperthread branch of ``effective_cores`` is priced too.
+PRICED_THREADS = (1, 2, 4, 96, 192)
+#: DEFAULT_COST_MODEL, a model that prices differently (omega_time and
+#: hyper_factor), and one that differs only in fields time_on never
+#: reads, so it shares DEFAULT_COST_MODEL's pricing key at every count.
+PRICING_MODELS = (
+    DEFAULT_COST_MODEL,
+    CostModel(omega=4_000.0, omega_time=333.3, hyper_factor=0.6),
+    CostModel(omega=1.0, edge_op=3.0),
+)
+
+
+def reference_time_on(metrics: RunMetrics, threads: int, model) -> float:
+    """``time_on`` as one left-to-right walk over the whole ledger."""
+    if threads == 1:
+        return metrics.work
+    p_eff = model.effective_cores(threads)
+    total = 0.0
+    for step in metrics.steps:
+        total += max(step.work / p_eff, step.span)
+        total += step.barriers * model.omega_time
+    return total
+
+
+_costs = st.floats(min_value=0.0, max_value=1e7, allow_nan=False)
+_parallel = st.tuples(
+    st.just("parallel"), _costs, _costs, st.integers(0, 4)
+)
+_barrier = st.tuples(
+    st.just("parallel"), st.just(0.0), st.just(0.0), st.integers(1, 3)
+)
+_ledger_ops = st.lists(
+    st.one_of(
+        _parallel,
+        _barrier,
+        st.tuples(st.just("sequential"), _costs),
+        st.tuples(st.just("merge"), st.lists(_parallel, max_size=4)),
+        st.tuples(
+            st.just("time"),
+            st.sampled_from(PRICED_THREADS),
+            st.integers(0, len(PRICING_MODELS) - 1),
+        ),
+    ),
+    max_size=40,
+)
+
+
+class TestIncrementalTimeOn:
+    @settings(max_examples=200, deadline=None)
+    @given(ops=_ledger_ops)
+    def test_matches_full_walk_bit_exactly(self, ops):
+        m = RunMetrics()
+        for op in ops + [("time", t, i) for t in PRICED_THREADS
+                         for i in range(len(PRICING_MODELS))]:
+            kind = op[0]
+            if kind == "parallel":
+                m.record_parallel(op[1], op[2], op[3])
+            elif kind == "sequential":
+                m.record_sequential(op[1])
+            elif kind == "merge":
+                other = RunMetrics()
+                for _, work, span, barriers in op[1]:
+                    other.record_parallel(work, span, barriers)
+                m.merge(other)
+            else:
+                model = PRICING_MODELS[op[2]]
+                assert m.time_on(op[1], model) == reference_time_on(
+                    m, op[1], model
+                )
+
+    def test_equal_pricing_keys_share_a_prefix(self):
+        default, _, same_key = PRICING_MODELS
+        m = RunMetrics()
+        m.record_parallel(1234.5, 7.25, 2)
+        for threads in (2, 96):
+            m.time_on(threads, default)
+            keys = set(m._priced)
+            m.time_on(threads, same_key)
+            assert set(m._priced) == keys
+
+    def test_different_pricing_keys_never_collide(self):
+        m = RunMetrics()
+        m.record_parallel(1234.5, 7.25, 2)
+        keys = set()
+        for threads in PRICED_THREADS[1:]:
+            for model in PRICING_MODELS:
+                m.time_on(threads, model)
+                keys.add((model.effective_cores(threads), model.omega_time))
+        assert set(m._priced) == keys
+        # 4 thread counts x 2 distinct pricings; the third model shares.
+        assert len(keys) == 8
+
+    def test_prefix_is_not_part_of_the_ledger(self):
+        priced, fresh = RunMetrics(), RunMetrics()
+        for m in (priced, fresh):
+            m.record_parallel(100.0, 3.0, 1)
+        priced.time_on(4)
+        assert priced._priced and not fresh._priced
+        assert priced == fresh
+        assert repr(priced) == repr(fresh)
+        assert priced.to_stable_dict() == fresh.to_stable_dict()
 
 
 class TestSimRuntime:

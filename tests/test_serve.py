@@ -17,6 +17,9 @@ from repro.generators.streams import (
     generate_stream,
 )
 from repro.graphs.csr import CSRGraph
+from repro.runtime import metrics as runtime_metrics
+from repro.runtime.cost_model import DEFAULT_COST_MODEL
+from repro.runtime.metrics import RunMetrics
 from repro.serve import (
     PERCENTILES,
     SERVE_SCHEMA_VERSION,
@@ -223,6 +226,43 @@ def test_final_state_matches_recompute(small_er):
     assert np.array_equal(
         service.engine.coreness, reference_coreness(final)
     )
+
+
+def test_writer_prices_each_step_once(small_er, monkeypatch):
+    """The simulated clock prices each ledger step once per replay.
+
+    Re-walking the whole ledger on every ``time_on`` call makes each
+    batch cost more than the one before it; the cached prefix must give
+    the same report as a replay that re-prices from scratch every call.
+    """
+    events = generate_stream(
+        small_er, "bursty", batches=12, batch_size=10, seed=5
+    )
+    calls = 0
+    parts = runtime_metrics.step_time_parts
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return parts(*args)
+
+    monkeypatch.setattr(runtime_metrics, "step_time_parts", counted)
+    service = CoreService(small_er)
+    service.replay(events)
+    assert service.threads > 1
+    assert calls == len(service.engine.metrics.steps)
+    monkeypatch.undo()
+
+    time_on = RunMetrics.time_on
+
+    def from_scratch(self, threads, model=DEFAULT_COST_MODEL):
+        self._priced.clear()
+        return time_on(self, threads, model)
+
+    monkeypatch.setattr(RunMetrics, "time_on", from_scratch)
+    rescan = CoreService(small_er)
+    rescan.replay(events)
+    assert rescan.report() == service.report()
 
 
 def test_interval_scales_duration(small_er):
