@@ -9,12 +9,16 @@ plain ``np.unique`` (NumPy's hash path since 2.3) out of the package.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.graphs.csr import CSRGraph
+from repro.lint import lint_paths
 from repro.primitives import unique_sorted
 
 DTYPES = [np.int64, np.int32, np.uint8, np.bool_]
@@ -146,3 +150,25 @@ def test_from_edges_matches_set_reference(case, symmetrize, as_array):
     for row in rows:
         assert all(a < b for a, b in zip(row, row[1:]))
     assert rows == _reference_rows(n, edges, symmetrize)
+
+
+# ----------------------------------------------------------------------
+# Guard: no plain np.unique in the package
+# ----------------------------------------------------------------------
+PACKAGE = Path(repro.__file__).resolve().parent
+
+
+def test_package_has_no_plain_np_unique():
+    """Lint rule R010 over the package finds no plain ``np.unique``.
+
+    The package may not silence the rule either: a suppressed call
+    would still take NumPy's hash path.
+    """
+    findings = lint_paths([PACKAGE], select=["R010"])
+    assert findings == [], "\n".join(f.render() for f in findings)
+    silenced = [
+        f"{path.relative_to(PACKAGE)}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if "disable=R010" in path.read_text()
+    ]
+    assert silenced == [], f"R010 suppressed in: {silenced}"
